@@ -1,18 +1,19 @@
 // punosim: command-line driver for single experiments.
 //
 //   ./punosim --workload intruder --scheme puno --seed 7 --scale 0.5
-//             [--no-unicast] [--no-notification] [--commit-hint]
-//             [--replay FILE] [--record-trace FILE] [--csv FILE] [--stats]
+//             [--set KEY=VALUE] [--replay FILE] [--record-trace FILE]
+//             [--csv FILE] [--stats]
 //             [--trace[=FILTER]] [--trace-out FILE] [--abort-report[=FILE]]
 //             [--verify-trace]
 //
 // Prints the headline metrics; --stats additionally dumps every counter,
 // scalar and histogram the simulation recorded (the same registry the
-// figures are built from). --replay replays a recorded workload stream
-// instead of the synthetic generator; --record-trace writes the generated
-// stream to a file (without simulating); --csv appends a result row (with
-// header if new). --trace records the transaction-lifecycle event trace
-// (docs/TRACING.md) and writes Perfetto-loadable Chrome trace JSON;
+// figures are built from). --replay streams a recorded workload trace
+// (constant memory) instead of the synthetic generator; --record-trace
+// writes the generated stream to a file (without simulating); --csv appends
+// a result row (with header if new). --trace records the
+// transaction-lifecycle event trace (docs/TRACING.md) and writes
+// Perfetto-loadable Chrome trace JSON;
 // --abort-report classifies every abort as false/necessary; --verify-trace
 // re-parses the written JSON and cross-checks the attribution counts
 // against the simulator's false-abort counters.
@@ -66,13 +67,11 @@ void usage(const char* argv0) {
       "  --seed N          RNG seed (default: 1)\n"
       "  --scale X         committed-txn quota multiplier (default: 1.0)\n"
       "  --set KEY=VALUE   override a config knob (same keys as punobatch\n"
-      "                    --list-keys; e.g. traffic.zipf_theta=1.2)\n"
-      "  --no-unicast      disable PUNO's predictive unicast\n"
-      "  --no-notification disable PUNO's notification\n"
-      "  --commit-hint     enable the commit-hint extension\n"
-      "  --replay FILE     replay a recorded workload stream (in memory)\n"
-      "  --stream-replay F replay a trace incrementally (constant memory;\n"
-      "                    for traces too large to load)\n"
+      "                    --list-keys; e.g. traffic.zipf_theta=1.2, or\n"
+      "                    the PUNO ablations puno.enable_unicast=0 and\n"
+      "                    puno.enable_notification=0)\n"
+      "  --replay FILE     replay a recorded trace, streamed from the file\n"
+      "                    (constant memory, so any trace size works)\n"
       "  --record-trace F  write the generated stream to F and exit\n"
       "  --csv FILE        append the result as a CSV row\n"
       "  --stats           dump the full statistics registry\n"
@@ -114,7 +113,7 @@ int main(int argc, char** argv) {
   metrics::ExperimentParams params;
   params.workload = "intruder";
   bool dump_stats = false;
-  std::string replay_path, stream_replay_path, record_path, csv_path;
+  std::string replay_path, record_path, csv_path;
   bool trace_on = false, verify_trace = false, want_abort_report = false;
   std::string trace_filter, trace_out, abort_report_path;
   std::size_t trace_capacity = trace::TraceRecorder::kDefaultCapacity;
@@ -162,16 +161,8 @@ int main(int argc, char** argv) {
       params.seed = std::strtoull(next(), nullptr, 10);
     } else if (arg == "--scale") {
       params.scale = std::atof(next());
-    } else if (arg == "--no-unicast") {
-      params.base_config.puno.enable_unicast = false;
-    } else if (arg == "--no-notification") {
-      params.base_config.puno.enable_notification = false;
-    } else if (arg == "--commit-hint") {
-      params.base_config.puno.enable_commit_hint = true;
     } else if (arg == "--replay") {
       replay_path = next();
-    } else if (arg == "--stream-replay") {
-      stream_replay_path = next();
     } else if (arg == "--trace") {
       trace_on = true;
     } else if (arg.rfind("--trace=", 0) == 0) {
@@ -274,21 +265,18 @@ int main(int argc, char** argv) {
   }
 
   std::unique_ptr<workloads::Workload> workload;
-  try {
-    if (!replay_path.empty()) {
-      workload = std::make_unique<workloads::TraceWorkload>(
-          workloads::TraceWorkload::load(replay_path));
-      params.workload = workload->name() + " (replay)";
-    } else if (!stream_replay_path.empty()) {
+  if (!replay_path.empty()) {
+    try {
       workload = std::make_unique<traffic::StreamTraceWorkload>(
-          stream_replay_path, static_cast<NodeId>(cfg.num_nodes));
-      params.workload = workload->name() + " (stream-replay)";
+          replay_path, static_cast<NodeId>(cfg.num_nodes));
+    } catch (const std::runtime_error& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      return 2;
     }
-  } catch (const std::runtime_error& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
+    params.workload = workload->name() + " (replay)";
+  } else {
+    workload = make_workload();
   }
-  if (!workload) workload = make_workload();
   arch::Cmp cmp(cfg, *workload);
   if (auto* open = dynamic_cast<traffic::OpenLoopWorkload*>(workload.get())) {
     open->attach(cmp.kernel());
@@ -321,8 +309,8 @@ int main(int argc, char** argv) {
   try {
     completed = cmp.run(params.max_cycles);
   } catch (const std::runtime_error& e) {
-    // The streaming replay parses lazily, so a malformed line deep in the
-    // trace surfaces here; anything else is a real simulator failure.
+    // --replay parses lazily, so a malformed line deep in the trace
+    // surfaces here; anything else is a real simulator failure.
     if (std::string_view(e.what()).substr(0, 17) == "trace parse error") {
       std::fprintf(stderr, "%s\n", e.what());
       return 2;

@@ -5,10 +5,11 @@
 // list in a deterministic order (workload-major, overrides innermost), so a
 // grid always shards and serializes identically.
 //
-// Config overrides address SystemConfig fields by dotted name
-// ("puno.timeout_fraction", "cache.l2_latency", ...); override_keys() lists
-// every supported key. "num_nodes"/"noc.mesh_width" are coupled: setting
-// either keeps num_nodes == mesh_width^2, which the CMP asserts.
+// Config overrides address SystemConfig fields by the dotted names of the
+// knob table (for_each_knob in sim/config.hpp); override_keys() lists every
+// settable key. The node count and the mesh dimensions are coupled: setting
+// one re-derives the others so num_nodes == mesh_width * rows() holds, which
+// the CMP asserts.
 #pragma once
 
 #include <cstdint>
@@ -38,11 +39,14 @@ struct GridSpec {
 };
 
 /// Sets one dotted-name SystemConfig field from a string value. Returns
-/// false for an unknown key or an unparseable value.
+/// false for an unknown or key-only name, or for a value that does not parse
+/// strictly: unsigned fields reject a sign and out-of-range values, doubles
+/// must be finite, enums take their exact spellings.
 [[nodiscard]] bool apply_override(SystemConfig& cfg, std::string_view key,
                                   std::string_view value);
 
-/// Every key apply_override understands, for --list-keys and diagnostics.
+/// Every key apply_override understands, sorted, for --list-keys and
+/// diagnostics.
 [[nodiscard]] const std::vector<std::string>& override_keys();
 
 /// Flattens the grid. Throws std::invalid_argument on an unknown workload,
@@ -53,7 +57,7 @@ struct GridSpec {
 [[nodiscard]] std::vector<std::string> split_list(std::string_view csv);
 
 /// Parses "1,2,9" or the range form "1..8" (inclusive).
-/// Throws std::invalid_argument on malformed input.
+/// Throws std::invalid_argument on malformed, negative or overflowing input.
 [[nodiscard]] std::vector<std::uint64_t> parse_seed_list(std::string_view spec);
 
 /// Parses "all" or a csv of baseline|backoff|rmw|puno.

@@ -2,10 +2,13 @@
 // mechanism evaluated in Section IV).
 #pragma once
 
+#include <array>
+#include <concepts>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "sim/types.hpp"
 
@@ -72,6 +75,40 @@ inline constexpr Scheme kAllSchemes[] = {
   return std::nullopt;
 }
 
+/// One entry of an enum's spelling table: the value and its CLI / cache-key
+/// spelling.
+template <class E>
+struct Spelling {
+  E value;
+  const char* name;
+};
+
+/// An enum with a spelling table: an ADL-visible spellings(E) returning an
+/// array of Spelling<E>, one entry per enumerator. Scheme is not one — its
+/// X-macro above also carries aliases.
+template <class E>
+concept SpelledEnum = std::is_enum_v<E> && requires(E e) {
+  { spellings(e)[0] } -> std::convertible_to<Spelling<E>>;
+};
+
+template <SpelledEnum E>
+[[nodiscard]] constexpr const char* to_string(E e) noexcept {
+  for (const auto& [value, name] : spellings(e)) {
+    if (value == e) return name;
+  }
+  return "?";
+}
+
+/// Inverse of to_string: the enumerator spelled exactly `s`, or nullopt.
+template <SpelledEnum E>
+[[nodiscard]] constexpr std::optional<E> from_string(
+    std::string_view s) noexcept {
+  for (const auto& [value, name] : spellings(E{})) {
+    if (s == name) return value;
+  }
+  return std::nullopt;
+}
+
 struct NocConfig {
   /// Mesh X dimension (routers per row). The paper's Table II system is the
   /// default 4x4 = 16 routers; any width x height mesh is configurable.
@@ -121,7 +158,6 @@ struct CacheConfig {
 };
 
 /// How a directory entry encodes its sharer list (coherence::SharerSet).
-/// Spellings are the CLI/grid values of "dir.sharer_rep".
 enum class SharerRep : std::uint8_t {
   kFull = 0,     ///< Exact bit per node (the seed behaviour; default).
   kCoarse = 1,   ///< One bit per region of dir.coarse_region nodes
@@ -130,21 +166,10 @@ enum class SharerRep : std::uint8_t {
                  ///< broadcast (every node treated as a sharer).
 };
 
-[[nodiscard]] constexpr const char* to_string(SharerRep r) noexcept {
-  switch (r) {
-    case SharerRep::kFull: return "full";
-    case SharerRep::kCoarse: return "coarse";
-    case SharerRep::kLimited: return "limited";
-  }
-  return "?";
-}
-
-[[nodiscard]] constexpr std::optional<SharerRep> sharer_rep_from_string(
-    std::string_view s) noexcept {
-  if (s == "full") return SharerRep::kFull;
-  if (s == "coarse") return SharerRep::kCoarse;
-  if (s == "limited") return SharerRep::kLimited;
-  return std::nullopt;
+[[nodiscard]] constexpr auto spellings(SharerRep) noexcept {
+  return std::to_array<Spelling<SharerRep>>({{SharerRep::kFull, "full"},
+                                             {SharerRep::kCoarse, "coarse"},
+                                             {SharerRep::kLimited, "limited"}});
 }
 
 /// Directory organization knobs (scale axis: docs/SCALING.md).
@@ -186,33 +211,21 @@ struct HtmConfig {
 };
 
 /// Arrival process driven by the open-loop traffic engine (src/traffic).
-/// Spellings are the CLI/grid values of "traffic.arrival".
 enum class ArrivalKind : std::uint8_t {
   kPoisson = 0,  ///< Memoryless: exponential inter-arrival times.
   kOnOff = 1,    ///< Markov-style on/off bursts over a square-wave schedule.
   kDiurnal = 2,  ///< Sinusoidal rate modulation (compressed day/night).
 };
 
-[[nodiscard]] constexpr const char* to_string(ArrivalKind k) noexcept {
-  switch (k) {
-    case ArrivalKind::kPoisson: return "poisson";
-    case ArrivalKind::kOnOff: return "onoff";
-    case ArrivalKind::kDiurnal: return "diurnal";
-  }
-  return "?";
-}
-
-[[nodiscard]] constexpr std::optional<ArrivalKind> arrival_kind_from_string(
-    std::string_view s) noexcept {
-  if (s == "poisson") return ArrivalKind::kPoisson;
-  if (s == "onoff") return ArrivalKind::kOnOff;
-  if (s == "diurnal") return ArrivalKind::kDiurnal;
-  return std::nullopt;
+[[nodiscard]] constexpr auto spellings(ArrivalKind) noexcept {
+  return std::to_array<Spelling<ArrivalKind>>(
+      {{ArrivalKind::kPoisson, "poisson"},
+       {ArrivalKind::kOnOff, "onoff"},
+       {ArrivalKind::kDiurnal, "diurnal"}});
 }
 
 /// How the traffic engine maps logical keys onto cache blocks — the
 /// memory-placement adversary (cache-line co-location / false sharing).
-/// Spellings are the CLI/grid values of "traffic.placement".
 enum class PlacementMode : std::uint8_t {
   kSpread = 0,   ///< One key per block: co-location forbidden.
   kPack = 1,     ///< keys_per_block *adjacent* keys share a block.
@@ -221,27 +234,16 @@ enum class PlacementMode : std::uint8_t {
                  ///< together, like an adversarial allocator).
 };
 
-[[nodiscard]] constexpr const char* to_string(PlacementMode m) noexcept {
-  switch (m) {
-    case PlacementMode::kSpread: return "spread";
-    case PlacementMode::kPack: return "pack";
-    case PlacementMode::kShuffle: return "shuffle";
-  }
-  return "?";
-}
-
-[[nodiscard]] constexpr std::optional<PlacementMode>
-placement_mode_from_string(std::string_view s) noexcept {
-  if (s == "spread") return PlacementMode::kSpread;
-  if (s == "pack") return PlacementMode::kPack;
-  if (s == "shuffle") return PlacementMode::kShuffle;
-  return std::nullopt;
+[[nodiscard]] constexpr auto spellings(PlacementMode) noexcept {
+  return std::to_array<Spelling<PlacementMode>>(
+      {{PlacementMode::kSpread, "spread"},
+       {PlacementMode::kPack, "pack"},
+       {PlacementMode::kShuffle, "shuffle"}});
 }
 
 /// Knobs of the open-loop production-traffic engine (docs/TRAFFIC.md).
 /// Only the traffic-kernel workloads ("traffic-*") read these; the STAMP
-/// profiles ignore them. Every field flows through the grid setters
-/// ("traffic.*" keys) and the content-addressed result-cache key.
+/// profiles ignore them. Every field is a knob (for_each_knob below).
 struct TrafficConfig {
   // --- workload volume -------------------------------------------------
   /// Open-loop arrival quota per core (ExperimentParams::scale multiplies
@@ -379,6 +381,91 @@ struct SystemConfig {
     return static_cast<NodeId>((line % shards) * (num_nodes / shards));
   }
 };
+
+/// Whether a knob can be overridden with --set.
+enum class Knob : std::uint8_t {
+  kSettable,  ///< A --set key and part of the result-cache key.
+  kKeyOnly,   ///< Part of the cache key only: a structural constant.
+};
+
+/// The knob table: the one list of SystemConfig's keyed fields. Calls
+/// f(dotted_name, field, Knob) once per field, in result-cache-key order;
+/// Cfg is SystemConfig or const SystemConfig. The --set parser, --list-keys,
+/// the cache key (runner/cache.cpp) and the docs/CONFIG.md completeness test
+/// all walk it. scheme and seed are not knobs: the runner overwrites them
+/// from ExperimentParams. A new field goes here and into docs/CONFIG.md;
+/// adding or reordering one changes every cache key, so it comes with a
+/// kCacheSchemaVersion bump and new pinned keys in the cache tests.
+template <class Cfg, class F>
+  requires std::same_as<std::remove_const_t<Cfg>, SystemConfig>
+void for_each_knob(Cfg& c, F&& f) {
+  using enum Knob;
+  f("num_nodes", c.num_nodes, kSettable);
+  f("noc.mesh_width", c.noc.mesh_width, kSettable);
+  f("noc.mesh_height", c.noc.mesh_height, kSettable);
+  f("noc.num_vnets", c.noc.num_vnets, kKeyOnly);
+  f("noc.vcs_per_vnet", c.noc.vcs_per_vnet, kSettable);
+  f("noc.vc_depth", c.noc.vc_depth, kSettable);
+  f("noc.pipeline_stages", c.noc.pipeline_stages, kSettable);
+  f("noc.link_latency", c.noc.link_latency, kSettable);
+  f("noc.flit_bytes", c.noc.flit_bytes, kSettable);
+  f("noc.always_tick", c.noc.always_tick, kSettable);
+  f("cache.block_bytes", c.cache.block_bytes, kKeyOnly);
+  f("cache.l1_size_bytes", c.cache.l1_size_bytes, kSettable);
+  f("cache.l1_assoc", c.cache.l1_assoc, kSettable);
+  f("cache.l1_latency", c.cache.l1_latency, kSettable);
+  f("cache.l2_size_bytes", c.cache.l2_size_bytes, kSettable);
+  f("cache.l2_assoc", c.cache.l2_assoc, kSettable);
+  f("cache.l2_latency", c.cache.l2_latency, kSettable);
+  f("cache.memory_latency", c.cache.memory_latency, kSettable);
+  f("cache.num_memory_controllers", c.cache.num_memory_controllers, kKeyOnly);
+  f("cache.l2_banks", c.cache.l2_banks, kSettable);
+  f("dir.sharer_rep", c.dir.sharer_rep, kSettable);
+  f("dir.coarse_region", c.dir.coarse_region, kSettable);
+  f("dir.limited_pointers", c.dir.limited_pointers, kSettable);
+  f("dir.shards", c.dir.shards, kSettable);
+  f("htm.fixed_backoff", c.htm.fixed_backoff, kSettable);
+  f("htm.backoff_slot", c.htm.backoff_slot, kSettable);
+  f("htm.backoff_max_slots", c.htm.backoff_max_slots, kSettable);
+  f("htm.abort_recovery_latency", c.htm.abort_recovery_latency, kSettable);
+  f("htm.rmw_entries", c.htm.rmw_entries, kSettable);
+  f("htm.requester_wins_max_retries", c.htm.requester_wins_max_retries,
+    kSettable);
+  f("htm.limited_read_entries", c.htm.limited_read_entries, kSettable);
+  f("htm.limited_write_entries", c.htm.limited_write_entries, kSettable);
+  f("puno.pbuffer_entries", c.puno.pbuffer_entries, kSettable);
+  f("puno.txlb_entries", c.puno.txlb_entries, kSettable);
+  f("puno.min_timeout", c.puno.min_timeout, kSettable);
+  f("puno.max_timeout", c.puno.max_timeout, kSettable);
+  f("puno.validity_threshold", c.puno.validity_threshold, kSettable);
+  f("puno.enable_unicast", c.puno.enable_unicast, kSettable);
+  f("puno.enable_notification", c.puno.enable_notification, kSettable);
+  f("puno.max_notified_backoff", c.puno.max_notified_backoff, kSettable);
+  f("puno.timeout_fraction", c.puno.timeout_fraction, kSettable);
+  f("puno.enable_commit_hint", c.puno.enable_commit_hint, kSettable);
+  f("puno.commit_hint_entries", c.puno.commit_hint_entries, kSettable);
+  f("puno.unicast_min_sharers", c.puno.unicast_min_sharers, kSettable);
+  f("traffic.arrivals_per_node", c.traffic.arrivals_per_node, kSettable);
+  f("traffic.keys", c.traffic.keys, kSettable);
+  f("traffic.zipf_theta", c.traffic.zipf_theta, kSettable);
+  f("traffic.hot_keys", c.traffic.hot_keys, kSettable);
+  f("traffic.hot_frac", c.traffic.hot_frac, kSettable);
+  f("traffic.phase_cycles", c.traffic.phase_cycles, kSettable);
+  f("traffic.arrival", c.traffic.arrival, kSettable);
+  f("traffic.rate_per_kcycle", c.traffic.rate_per_kcycle, kSettable);
+  f("traffic.burst_on_frac", c.traffic.burst_on_frac, kSettable);
+  f("traffic.burst_boost", c.traffic.burst_boost, kSettable);
+  f("traffic.burst_period", c.traffic.burst_period, kSettable);
+  f("traffic.diurnal_amplitude", c.traffic.diurnal_amplitude, kSettable);
+  f("traffic.diurnal_period", c.traffic.diurnal_period, kSettable);
+  f("traffic.queue_capacity", c.traffic.queue_capacity, kSettable);
+  f("traffic.placement", c.traffic.placement, kSettable);
+  f("traffic.keys_per_block", c.traffic.keys_per_block, kSettable);
+  f("traffic.update_frac", c.traffic.update_frac, kSettable);
+  f("traffic.counter_blocks", c.traffic.counter_blocks, kSettable);
+  f("traffic.op_think_min", c.traffic.op_think_min, kSettable);
+  f("traffic.op_think_max", c.traffic.op_think_max, kSettable);
+}
 
 /// Structural validation of a SystemConfig. Returns a human-readable
 /// description of the first problem found, or nullopt if the configuration

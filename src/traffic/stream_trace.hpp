@@ -1,10 +1,11 @@
 // Streaming trace-v1 replay: constant memory for arbitrarily large traces.
 //
-// TraceWorkload::load materializes every descriptor of every node up front
-// (a multi-GB production trace would not fit). StreamTraceWorkload instead
-// keeps one independent file cursor per node: next(node) scans forward from
-// that node's position, skips other nodes' txn blocks with a cheap
-// first-token classification, fully parses its own blocks through the
+// This is the one trace replayer (punosim --replay). Parsing a whole trace
+// with TraceWorkload::parse would materialize every descriptor of every node
+// up front (a multi-GB production trace would not fit); StreamTraceWorkload
+// keeps one independent file cursor per node instead: next(node) scans
+// forward from that node's position, skips other nodes' txn blocks with a
+// cheap first-token classification, fully parses its own blocks through the
 // shared trace_format helpers, and returns one descriptor at a time.
 // Memory is O(nodes), not O(trace).
 //

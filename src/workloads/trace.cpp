@@ -1,6 +1,7 @@
 #include "workloads/trace.hpp"
 
-#include <fstream>
+#include <istream>
+#include <ostream>
 #include <stdexcept>
 
 #include "workloads/trace_format.hpp"
@@ -60,12 +61,6 @@ TraceWorkload TraceWorkload::parse(std::istream& in) {
   if (in_txn) fmt::fail(lineno, "unterminated txn block");
   if (!header_seen) fmt::fail(lineno, "empty trace");
   return w;
-}
-
-TraceWorkload TraceWorkload::load(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open trace file: " + path);
-  return parse(in);
 }
 
 void TraceWorkload::record(Workload& source, std::uint32_t num_nodes,

@@ -29,8 +29,6 @@ class TraceWorkload final : public Workload {
   /// Parses a trace from a stream. Throws std::runtime_error on malformed
   /// input, with the line number and the offending token in the message.
   static TraceWorkload parse(std::istream& in);
-  /// Convenience: parse a file.
-  static TraceWorkload load(const std::string& path);
 
   /// Serializes any workload by draining it (next() is destructive).
   /// `max_per_node` caps the descriptors written per node; 0 (the default)

@@ -17,6 +17,10 @@
 //
 // Regenerate (ONLY when an intentional behaviour change is being made):
 //   PUNO_REGEN_GOLDEN=1 ./build/tests/golden_identity_test
+//
+// GoldenFiles.TrackedByGit guards the suite itself: a golden that git
+// ignores or does not track exists only in one working tree, so every
+// fresh clone would fail with "missing golden file".
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -153,6 +157,37 @@ TEST_P(GoldenIdentity, TraceAndAbortReport) {
     buf << in.rdbuf();
     compare_or_regen(buf.str(), name);
   }
+}
+
+/// Runs a shell command quietly and returns its exit status (0 = success).
+[[nodiscard]] int run_quiet(const std::string& cmd) {
+  return std::system((cmd + " >/dev/null 2>&1").c_str());
+}
+
+TEST(GoldenFiles, TrackedByGit) {
+  const fs::path golden_dir = fs::path(PUNO_GOLDEN_DIR);
+  const fs::path repo = golden_dir.parent_path().parent_path().parent_path();
+  if (!fs::exists(repo / ".git")) {
+    GTEST_SKIP() << "no .git in " << repo << " (not a git checkout)";
+  }
+  const std::string git = "git -C \"" + repo.string() + "\" ";
+  if (run_quiet(git + "rev-parse --git-dir") != 0) {
+    GTEST_SKIP() << "git is not available or cannot read " << repo;
+  }
+  std::size_t checked = 0;
+  for (const auto& entry : fs::recursive_directory_iterator(golden_dir)) {
+    if (!entry.is_regular_file()) continue;
+    const std::string rel =
+        "\"" + fs::relative(entry.path(), repo).generic_string() + "\"";
+    // --no-index asks the ignore rules directly, so a tracked file that a
+    // pattern would still exclude (e.g. *.jsonl) is caught too.
+    EXPECT_NE(run_quiet(git + "check-ignore -q --no-index -- " + rel), 0)
+        << rel << " is git-ignored; fix the golden negation in .gitignore";
+    EXPECT_EQ(run_quiet(git + "ls-files --error-unmatch -- " + rel), 0)
+        << rel << " is not tracked by git; add it";
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u) << "no golden files under " << golden_dir;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPreexistingSchemes, GoldenIdentity,

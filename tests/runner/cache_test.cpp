@@ -180,6 +180,91 @@ TEST(CacheKey, DistinguishesTrafficConfigFields) {
   EXPECT_NE(cache_key(base), cache_key(p));
 }
 
+// The exact cache-key bytes, pinned: a refactor of how params_repr renders
+// the config (field order, number formatting, enum spellings) must not
+// silently orphan every cached result. Changing these strings is a schema
+// change and needs a kCacheSchemaVersion bump.
+TEST(CacheKey, PinnedReprOfDefaultParams) {
+  const ExperimentParams p;
+  EXPECT_EQ(params_repr(p),
+      "workload=vacation scheme=Baseline seed=1 scale=1 "
+      "max_cycles=30000000 num_nodes=16 noc.mesh_width=4 "
+      "noc.mesh_height=0 noc.num_vnets=3 noc.vcs_per_vnet=2 "
+      "noc.vc_depth=4 noc.pipeline_stages=4 noc.link_latency=1 "
+      "noc.flit_bytes=16 noc.always_tick=0 cache.block_bytes=64 "
+      "cache.l1_size_bytes=32768 cache.l1_assoc=4 cache.l1_latency=1 "
+      "cache.l2_size_bytes=8388608 cache.l2_assoc=8 "
+      "cache.l2_latency=20 cache.memory_latency=200 "
+      "cache.num_memory_controllers=4 cache.l2_banks=0 "
+      "dir.sharer_rep=full dir.coarse_region=4 dir.limited_pointers=4 "
+      "dir.shards=0 htm.fixed_backoff=20 htm.backoff_slot=40 "
+      "htm.backoff_max_slots=32 htm.abort_recovery_latency=10 "
+      "htm.rmw_entries=256 htm.requester_wins_max_retries=4 "
+      "htm.limited_read_entries=48 htm.limited_write_entries=24 "
+      "puno.pbuffer_entries=16 puno.txlb_entries=32 "
+      "puno.min_timeout=64 puno.max_timeout=65536 "
+      "puno.validity_threshold=1 puno.enable_unicast=1 "
+      "puno.enable_notification=1 puno.max_notified_backoff=0 "
+      "puno.timeout_fraction=1 puno.enable_commit_hint=0 "
+      "puno.commit_hint_entries=8 puno.unicast_min_sharers=2 "
+      "traffic.arrivals_per_node=512 traffic.keys=65536 "
+      "traffic.zipf_theta=0.98999999999999999 traffic.hot_keys=0 "
+      "traffic.hot_frac=0.90000000000000002 traffic.phase_cycles=0 "
+      "traffic.arrival=poisson traffic.rate_per_kcycle=20 "
+      "traffic.burst_on_frac=0.20000000000000001 traffic.burst_boost=8 "
+      "traffic.burst_period=50000 "
+      "traffic.diurnal_amplitude=0.80000000000000004 "
+      "traffic.diurnal_period=200000 traffic.queue_capacity=64 "
+      "traffic.placement=spread traffic.keys_per_block=4 "
+      "traffic.update_frac=0.5 traffic.counter_blocks=8 "
+      "traffic.op_think_min=1 traffic.op_think_max=4");
+  EXPECT_EQ(cache_key(p), "v7-c2530fc8c3a72f56");
+  EXPECT_EQ(kCacheSchemaVersion, 7);
+}
+
+TEST(CacheKey, PinnedReprWithEveryEnumChanged) {
+  ExperimentParams p;
+  p.scheme = Scheme::kLimitedSet;
+  p.base_config.dir.sharer_rep = SharerRep::kLimited;
+  p.base_config.traffic.arrival = ArrivalKind::kDiurnal;
+  p.base_config.traffic.placement = PlacementMode::kShuffle;
+  p.base_config.puno.timeout_fraction = 0.25;
+  p.base_config.puno.enable_commit_hint = true;
+  EXPECT_EQ(params_repr(p),
+      "workload=vacation scheme=LimitedSet seed=1 scale=1 "
+      "max_cycles=30000000 num_nodes=16 noc.mesh_width=4 "
+      "noc.mesh_height=0 noc.num_vnets=3 noc.vcs_per_vnet=2 "
+      "noc.vc_depth=4 noc.pipeline_stages=4 noc.link_latency=1 "
+      "noc.flit_bytes=16 noc.always_tick=0 cache.block_bytes=64 "
+      "cache.l1_size_bytes=32768 cache.l1_assoc=4 cache.l1_latency=1 "
+      "cache.l2_size_bytes=8388608 cache.l2_assoc=8 "
+      "cache.l2_latency=20 cache.memory_latency=200 "
+      "cache.num_memory_controllers=4 cache.l2_banks=0 "
+      "dir.sharer_rep=limited dir.coarse_region=4 "
+      "dir.limited_pointers=4 dir.shards=0 htm.fixed_backoff=20 "
+      "htm.backoff_slot=40 htm.backoff_max_slots=32 "
+      "htm.abort_recovery_latency=10 htm.rmw_entries=256 "
+      "htm.requester_wins_max_retries=4 htm.limited_read_entries=48 "
+      "htm.limited_write_entries=24 puno.pbuffer_entries=16 "
+      "puno.txlb_entries=32 puno.min_timeout=64 puno.max_timeout=65536 "
+      "puno.validity_threshold=1 puno.enable_unicast=1 "
+      "puno.enable_notification=1 puno.max_notified_backoff=0 "
+      "puno.timeout_fraction=0.25 puno.enable_commit_hint=1 "
+      "puno.commit_hint_entries=8 puno.unicast_min_sharers=2 "
+      "traffic.arrivals_per_node=512 traffic.keys=65536 "
+      "traffic.zipf_theta=0.98999999999999999 traffic.hot_keys=0 "
+      "traffic.hot_frac=0.90000000000000002 traffic.phase_cycles=0 "
+      "traffic.arrival=diurnal traffic.rate_per_kcycle=20 "
+      "traffic.burst_on_frac=0.20000000000000001 traffic.burst_boost=8 "
+      "traffic.burst_period=50000 "
+      "traffic.diurnal_amplitude=0.80000000000000004 "
+      "traffic.diurnal_period=200000 traffic.queue_capacity=64 "
+      "traffic.placement=shuffle traffic.keys_per_block=4 "
+      "traffic.update_frac=0.5 traffic.counter_blocks=8 "
+      "traffic.op_think_min=1 traffic.op_think_max=4");
+  EXPECT_EQ(cache_key(p), "v7-be2da8f1461f2e91");
+}
+
 TEST(ResultCache, MissOnEmptyDirectory) {
   const ResultCache cache(fresh_dir("puno-cache-miss"));
   EXPECT_FALSE(cache.load(ExperimentParams{}).has_value());

@@ -137,11 +137,26 @@ TEST(SystemConfig, ShardedHomesSpaceEvenlyAndStayValid) {
 TEST(SharerRepNames, RoundTrip) {
   for (const SharerRep r :
        {SharerRep::kFull, SharerRep::kCoarse, SharerRep::kLimited}) {
-    const auto back = sharer_rep_from_string(to_string(r));
+    const auto back = from_string<SharerRep>(to_string(r));
     ASSERT_TRUE(back.has_value()) << to_string(r);
     EXPECT_EQ(*back, r);
   }
-  EXPECT_EQ(sharer_rep_from_string("nonesuch"), std::nullopt);
+  EXPECT_EQ(from_string<SharerRep>("nonesuch"), std::nullopt);
+}
+
+TEST(EnumSpellings, TrafficEnumsRoundTrip) {
+  for (const ArrivalKind k :
+       {ArrivalKind::kPoisson, ArrivalKind::kOnOff, ArrivalKind::kDiurnal}) {
+    EXPECT_EQ(from_string<ArrivalKind>(to_string(k)), k) << to_string(k);
+  }
+  for (const PlacementMode m : {PlacementMode::kSpread, PlacementMode::kPack,
+                                PlacementMode::kShuffle}) {
+    EXPECT_EQ(from_string<PlacementMode>(to_string(m)), m) << to_string(m);
+  }
+  EXPECT_STREQ(to_string(ArrivalKind::kOnOff), "onoff");
+  EXPECT_STREQ(to_string(PlacementMode::kShuffle), "shuffle");
+  EXPECT_EQ(from_string<ArrivalKind>("Poisson"), std::nullopt);
+  EXPECT_EQ(from_string<PlacementMode>(""), std::nullopt);
 }
 
 TEST(NocConfig, TotalVcs) {

@@ -9,7 +9,9 @@
 // content-addressed result cache), and writes the results as CSV and/or
 // JSONL. Every --set adds a grid axis: --set KEY=V1,V2 multiplies the grid
 // by one job per value. The JSONL manifest records one line per job
-// (status, attempts, sim wall time, cycles/s, cache key).
+// (status, attempts, sim wall time, cycles/s, cache key). Exit status: 0
+// when every job finished, 1 when a job failed or hit the cycle cap or an
+// output could not be written, 2 on bad arguments.
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -28,6 +30,7 @@
 #include "runner/cache.hpp"
 #include "runner/grid.hpp"
 #include "runner/runner.hpp"
+#include "sim/parse.hpp"
 #include "traffic/registry.hpp"
 
 namespace {
@@ -112,9 +115,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--seeds") {
       seeds_spec = next();
     } else if (arg == "--scale") {
-      grid.scale = std::atof(next());
+      grid.scale = sim::flag_value<double>(arg, next());
     } else if (arg == "--max-cycles") {
-      grid.max_cycles = std::strtoull(next(), nullptr, 10);
+      grid.max_cycles = sim::flag_value<Cycle>(arg, next());
     } else if (arg == "--set") {
       const std::string kv = next();
       const std::size_t eq = kv.find('=');
@@ -138,9 +141,9 @@ int main(int argc, char** argv) {
       }
       return 0;
     } else if (arg == "--jobs") {
-      options.jobs = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+      options.jobs = sim::flag_value<unsigned>(arg, next());
     } else if (arg == "--watchdog") {
-      options.watchdog_seconds = std::atof(next());
+      options.watchdog_seconds = sim::flag_value<double>(arg, next());
     } else if (arg == "--no-cache") {
       use_cache = false;
     } else if (arg == "--cache-dir") {
@@ -163,9 +166,8 @@ int main(int argc, char** argv) {
       telemetry_on = true;
     } else if (arg.rfind("--telemetry=", 0) == 0) {
       telemetry_on = true;
-      telemetry_interval =
-          std::strtoull(arg.c_str() + std::strlen("--telemetry="), nullptr,
-                        10);
+      telemetry_interval = sim::flag_value<Cycle>(
+          "--telemetry", arg.substr(std::strlen("--telemetry=")));
       if (telemetry_interval == 0) {
         std::fprintf(stderr, "--telemetry interval must be > 0\n");
         return 2;
@@ -345,5 +347,6 @@ int main(int argc, char** argv) {
   }
 
   if (!io_ok) return 1;
-  return sweep.failed == 0 ? 0 : 1;
+  // A capped job's row is written, but its numbers cover an unfinished run.
+  return sweep.failed == 0 && sweep.capped == 0 ? 0 : 1;
 }

@@ -15,6 +15,7 @@
 #include <string>
 
 #include "check/fuzz.hpp"
+#include "sim/parse.hpp"
 
 namespace {
 
@@ -69,9 +70,9 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--seeds") {
-      opts.num_seeds = static_cast<std::uint32_t>(std::atoi(next()));
+      opts.num_seeds = sim::flag_value<std::uint32_t>(arg, next());
     } else if (arg == "--seed-start") {
-      opts.seed_start = std::strtoull(next(), nullptr, 10);
+      opts.seed_start = sim::flag_value<std::uint64_t>(arg, next());
     } else if (arg == "--scheme") {
       const std::string list = next();
       if (list == "both") {
@@ -97,9 +98,9 @@ int main(int argc, char** argv) {
         }
       }
     } else if (arg == "--max-cycles") {
-      opts.max_cycles = std::strtoull(next(), nullptr, 10);
+      opts.max_cycles = sim::flag_value<Cycle>(arg, next());
     } else if (arg == "--stride") {
-      opts.checker.stride = static_cast<std::uint32_t>(std::atoi(next()));
+      opts.checker.stride = sim::flag_value<std::uint32_t>(arg, next());
     } else if (arg == "--invariants") {
       const std::string list = next();
       if (list == "all") {

@@ -39,6 +39,7 @@
 #include "metrics/experiment.hpp"
 #include "metrics/stats_io.hpp"
 #include "runner/grid.hpp"
+#include "sim/parse.hpp"
 #include "telemetry/dashboard.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/host_profiler.hpp"
@@ -158,9 +159,9 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--seed") {
-      params.seed = std::strtoull(next(), nullptr, 10);
+      params.seed = sim::flag_value<std::uint64_t>(arg, next());
     } else if (arg == "--scale") {
-      params.scale = std::atof(next());
+      params.scale = sim::flag_value<double>(arg, next());
     } else if (arg == "--replay") {
       replay_path = next();
     } else if (arg == "--trace") {
@@ -173,7 +174,7 @@ int main(int argc, char** argv) {
       trace_out = next();
     } else if (arg == "--trace-capacity") {
       trace_on = true;
-      trace_capacity = std::strtoull(next(), nullptr, 10);
+      trace_capacity = sim::flag_value<std::size_t>(arg, next());
     } else if (arg == "--abort-report") {
       trace_on = true;
       want_abort_report = true;
@@ -188,9 +189,8 @@ int main(int argc, char** argv) {
       telemetry_on = true;
     } else if (arg.rfind("--telemetry=", 0) == 0) {
       telemetry_on = true;
-      telemetry_interval =
-          std::strtoull(arg.c_str() + std::strlen("--telemetry="), nullptr,
-                        10);
+      telemetry_interval = sim::flag_value<Cycle>(
+          "--telemetry", arg.substr(std::strlen("--telemetry=")));
       if (telemetry_interval == 0) {
         std::fprintf(stderr, "--telemetry interval must be > 0\n");
         return 2;

@@ -9,11 +9,12 @@
 #include <string>
 
 #include "metrics/experiment.hpp"
+#include "sim/parse.hpp"
 
 int main(int argc, char** argv) {
   const std::string bench = argc > 1 ? argv[1] : "intruder";
   const std::uint64_t seed =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 1;
+      argc > 2 ? puno::sim::flag_value<std::uint64_t>("seed", argv[2]) : 1;
 
   std::printf("PUNO quickstart — workload '%s', seed %llu\n\n", bench.c_str(),
               static_cast<unsigned long long>(seed));

@@ -1,13 +1,11 @@
 #include "runner/grid.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
-#include <limits>
 #include <stdexcept>
 #include <type_traits>
 
+#include "sim/parse.hpp"
 #include "traffic/registry.hpp"
 #include "workloads/stamp.hpp"
 
@@ -15,41 +13,16 @@ namespace puno::runner {
 
 namespace {
 
-/// Unsigned decimal. strtoull alone would wrap "-1" to 2^64-1 and saturate
-/// an overflowing value, so a minus sign and ERANGE are rejected here.
-[[nodiscard]] bool parse_unsigned(std::string_view v, std::uint64_t& out) {
-  const std::string s(v);
-  if (s.find('-') != std::string::npos) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long n = std::strtoull(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0' || errno == ERANGE) return false;
-  out = n;
-  return true;
-}
-
 /// One parse overload per knob field type: unsigned integers (range-checked
 /// against the field's width), finite doubles, bools and spelled enums.
 template <class T>
   requires(std::is_unsigned_v<T> && !std::is_same_v<T, bool>)
 [[nodiscard]] bool parse(std::string_view v, T& out) {
-  std::uint64_t n = 0;
-  if (!parse_unsigned(v, n) || n > std::numeric_limits<T>::max()) return false;
-  out = static_cast<T>(n);
-  return true;
+  return sim::parse_number(v, out);
 }
 
 [[nodiscard]] bool parse(std::string_view v, double& out) {
-  const std::string s(v);
-  char* end = nullptr;
-  errno = 0;
-  const double d = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0' || errno == ERANGE ||
-      !std::isfinite(d)) {
-    return false;
-  }
-  out = d;
-  return true;
+  return sim::parse_number(v, out);
 }
 
 [[nodiscard]] bool parse(std::string_view v, bool& out) {
@@ -155,8 +128,8 @@ std::vector<std::uint64_t> parse_seed_list(std::string_view spec) {
   std::vector<std::uint64_t> seeds;
   if (const std::size_t dots = spec.find(".."); dots != std::string_view::npos) {
     std::uint64_t lo = 0, hi = 0;
-    if (!parse_unsigned(spec.substr(0, dots), lo) ||
-        !parse_unsigned(spec.substr(dots + 2), hi) || hi < lo) {
+    if (!sim::parse_number(spec.substr(0, dots), lo) ||
+        !sim::parse_number(spec.substr(dots + 2), hi) || hi < lo) {
       throw std::invalid_argument("bad seed range '" + std::string(spec) +
                                   "' (expected e.g. 1..8)");
     }
@@ -165,7 +138,7 @@ std::vector<std::uint64_t> parse_seed_list(std::string_view spec) {
   }
   for (const std::string& piece : split_list(spec)) {
     std::uint64_t s = 0;
-    if (!parse_unsigned(piece, s)) {
+    if (!sim::parse_number(piece, s)) {
       throw std::invalid_argument("bad seed '" + piece + "'");
     }
     seeds.push_back(s);

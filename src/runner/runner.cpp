@@ -211,6 +211,7 @@ SweepResult run_jobs(const std::vector<JobSpec>& specs,
       }
       if (out.status != JobStatus::kFailed) {
         sweep.total_cycles += out.result.cycles;
+        if (!out.result.completed) ++sweep.capped;
       }
       if (manifest.is_open()) write_manifest_row(manifest, i, spec, out);
       if (options.progress) {
@@ -245,9 +246,9 @@ SweepResult run_jobs(const std::vector<JobSpec>& specs,
 void print_summary(const SweepResult& s, std::ostream& out) {
   char line[256];
   std::snprintf(line, sizeof line,
-                "sweep: %zu jobs (%zu simulated, %zu cached, %zu failed) in "
-                "%.2fs wall on %u worker%s",
-                s.outcomes.size(), s.simulated, s.cached, s.failed,
+                "sweep: %zu jobs (%zu simulated, %zu cached, %zu failed, "
+                "%zu capped) in %.2fs wall on %u worker%s",
+                s.outcomes.size(), s.simulated, s.cached, s.failed, s.capped,
                 s.wall_seconds, s.jobs_used, s.jobs_used == 1 ? "" : "s");
   out << line;
   // Speedup and throughput only mean something when work was simulated.

@@ -31,19 +31,13 @@ void skip_foreign_block(std::ifstream& in, std::size_t& lineno) {
 
 StreamTraceWorkload::StreamTraceWorkload(const std::string& path,
                                          NodeId num_nodes)
-    : path_(path), name_("trace"), cursors_(num_nodes) {
-  for (NodeId n = 0; n < num_nodes; ++n) {
-    cursors_[n].in.open(path);
-    if (!cursors_[n].in) {
-      throw std::runtime_error("cannot open trace file: " + path);
-    }
-  }
+    : name_("trace"), in_(path), cursors_(num_nodes) {
+  if (!in_) throw std::runtime_error("cannot open trace file: " + path);
   // Read the workload name from the header up front (progress displays want
   // it before the first next()); cursors still validate it on first read.
-  std::ifstream head(path);
   std::string line;
   std::size_t lineno = 0;
-  while (std::getline(head, line)) {
+  while (std::getline(in_, line)) {
     ++lineno;
     const fmt::Line parsed = fmt::parse_line(line, lineno);
     if (parsed.kind == fmt::Line::Kind::kBlank) continue;
@@ -60,8 +54,10 @@ std::optional<workloads::TxnDesc> StreamTraceWorkload::next(NodeId node) {
   Cursor& c = cursors_.at(node);
   if (c.done) return std::nullopt;
 
+  in_.clear();
+  in_.seekg(c.offset);
   std::string line;
-  while (std::getline(c.in, line)) {
+  while (std::getline(in_, line)) {
     ++c.lineno;
     const std::string tok = fmt::first_token(line);
     if (tok.empty()) continue;
@@ -77,7 +73,7 @@ std::optional<workloads::TxnDesc> StreamTraceWorkload::next(NodeId node) {
     }
     const fmt::Line head = fmt::parse_line(line, c.lineno);
     if (head.node != node) {
-      skip_foreign_block(c.in, c.lineno);
+      skip_foreign_block(in_, c.lineno);
       continue;
     }
 
@@ -85,7 +81,7 @@ std::optional<workloads::TxnDesc> StreamTraceWorkload::next(NodeId node) {
     d.static_id = head.static_id;
     d.pre_think = head.pre;
     d.post_think = head.post;
-    while (std::getline(c.in, line)) {
+    while (std::getline(in_, line)) {
       ++c.lineno;
       const fmt::Line parsed = fmt::parse_line(line, c.lineno);
       switch (parsed.kind) {
@@ -96,6 +92,8 @@ std::optional<workloads::TxnDesc> StreamTraceWorkload::next(NodeId node) {
           continue;
         case fmt::Line::Kind::kEnd:
           ++c.replayed;
+          in_.clear();  // tellg fails once the last line has set eofbit
+          c.offset = in_.tellg();
           return d;
         case fmt::Line::Kind::kTxn:
           fmt::fail(c.lineno, "nested 'txn'");

@@ -11,7 +11,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <ostream>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "coherence/sharer_set.hpp"
@@ -188,6 +190,18 @@ struct RepCase {
   bool exact;  ///< representation promises exact membership w/o remove()
 };
 
+[[nodiscard]] std::string label(const RepCase& rc) {
+  return std::string(to_string(rc.rep)) + "_" + std::to_string(rc.nodes) +
+         "n_r" + std::to_string(rc.region) + "_p" +
+         std::to_string(rc.pointers);
+}
+
+// gtest's default printer would dump RepCase's bytes, padding included, into
+// every test id; uninitialized padding made the ids differ run to run.
+void PrintTo(const RepCase& rc, std::ostream* os) {
+  *os << label(rc) << (rc.exact ? " exact" : " inexact");
+}
+
 class SharerSetProperty : public ::testing::TestWithParam<RepCase> {};
 
 TEST_P(SharerSetProperty, OverApproximatesReference) {
@@ -275,14 +289,7 @@ INSTANTIATE_TEST_SUITE_P(
         RepCase{SharerRep::kLimited, 16, 1, 16, true},   // cap = nodes
         RepCase{SharerRep::kLimited, 64, 1, 4, false},
         RepCase{SharerRep::kLimited, 1024, 1, 16, false}),
-    [](const auto& info) {
-      const RepCase& rc = info.param;
-      std::string name = to_string(rc.rep);
-      name += "_" + std::to_string(rc.nodes);
-      name += "n_r" + std::to_string(rc.region);
-      name += "_p" + std::to_string(rc.pointers);
-      return name;
-    });
+    [](const auto& info) { return label(info.param); });
 
 // Transient (default-constructed) sets: exact full-bit-vector over an
 // unbounded domain — what UNBLOCK survivor sets and MSHR nacker sets use.

@@ -127,6 +127,25 @@ TEST(Runner, FaultInjectionRetriesThenIsolatesFailures) {
   }
 }
 
+// A run that stops at the cycle cap is an ok row, not a failure, but the
+// sweep counts it so that punobatch can refuse to exit 0 on it.
+TEST(Runner, CycleCappedJobsAreCountedAndSummarized) {
+  std::vector<JobSpec> specs(3);
+  for (std::size_t i = 0; i < specs.size(); ++i) specs[i].params.seed = i;
+  const JobFn fn = [](const JobSpec& spec) {
+    RunResult r;
+    r.completed = spec.params.seed != 1;
+    return r;
+  };
+  const SweepResult sweep = run_jobs(specs, {}, fn);
+  EXPECT_EQ(sweep.failed, 0u);
+  EXPECT_EQ(sweep.capped, 1u);
+  std::ostringstream line;
+  print_summary(sweep, line);
+  EXPECT_NE(line.str().find("0 failed, 1 capped"), std::string::npos)
+      << line.str();
+}
+
 TEST(Runner, CacheHitSkipsSimulation) {
   const std::filesystem::path dir =
       std::filesystem::path(::testing::TempDir()) / "puno-runner-cache";

@@ -1,7 +1,9 @@
 #include "traffic/stream_trace.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -66,6 +68,50 @@ TEST(StreamTraceWorkload, MatchesMaterializedReplayDescriptorForDescriptor) {
       expect_same_desc(*a, *b);
     }
     EXPECT_EQ(streaming.replayed(n), 10u);
+  }
+  std::filesystem::remove(path);
+}
+
+/// Lowers this process's soft RLIMIT_NOFILE for its lifetime.
+struct SoftFdLimit {
+  rlimit saved{};
+  explicit SoftFdLimit(rlim_t soft) {
+    EXPECT_EQ(getrlimit(RLIMIT_NOFILE, &saved), 0);
+    rlimit low = saved;
+    low.rlim_cur = std::min(soft, saved.rlim_cur);
+    EXPECT_EQ(setrlimit(RLIMIT_NOFILE, &low), 0);
+  }
+  ~SoftFdLimit() { setrlimit(RLIMIT_NOFILE, &saved); }
+  SoftFdLimit(const SoftFdLimit&) = delete;
+  SoftFdLimit& operator=(const SoftFdLimit&) = delete;
+};
+
+// A replay holds one file descriptor, not one per node, so a machine with
+// more tiles than the soft descriptor limit still replays. The nodes take
+// turns, one descriptor each, so every call resumes a different cursor.
+TEST(StreamTraceWorkload, ReplaysMoreNodesThanTheDescriptorLimit) {
+  constexpr NodeId kNodes = 64;
+  const std::string text = record_traffic(kNodes);
+  const std::string path = write_temp(text, "stream-fdlimit");
+  std::istringstream in(text);
+  workloads::TraceWorkload materialized = workloads::TraceWorkload::parse(in);
+  {
+    const SoftFdLimit limit(kNodes / 2);
+    StreamTraceWorkload streaming(path, kNodes);
+    for (bool more = true; more;) {
+      more = false;
+      for (NodeId n = 0; n < kNodes; ++n) {
+        const auto a = materialized.next(n);
+        const auto b = streaming.next(n);
+        ASSERT_EQ(a.has_value(), b.has_value());
+        if (!a) continue;
+        expect_same_desc(*a, *b);
+        more = true;
+      }
+    }
+    for (NodeId n = 0; n < kNodes; ++n) {
+      EXPECT_EQ(streaming.replayed(n), 10u);
+    }
   }
   std::filesystem::remove(path);
 }
